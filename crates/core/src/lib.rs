@@ -12,8 +12,7 @@
 //!
 //! * [`Metrics`] — one measured point in the 5-metric space.
 //! * [`Technique`] — a named, categorized measurement.
-//! * [`Registry`] — the collection, with JSON persistence so experiment
-//!   runs can be accumulated across binaries.
+//! * [`Registry`] — the collection, built in memory by each experiment.
 //! * [`pareto_frontier`] / [`TradeoffNavigator`] — frontier extraction and
 //!   constraint-based recommendation.
 

@@ -1,15 +1,13 @@
 //! The metric model and technique registry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
 
 /// One measured operating point in the tutorial's metric space.
 ///
 /// Quality metrics are "higher is better"; resource metrics are "lower is
 /// better". Fields default to the neutral value so partial measurements
 /// (e.g. a technique that doesn't touch energy) stay honest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Task accuracy in `[0, 1]`.
     pub accuracy: f64,
@@ -53,7 +51,7 @@ impl Metrics {
 }
 
 /// The tutorial's technique taxonomy (§2.1-2.3 plus Part 2/3 additions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Baseline measurements (uncompressed / single model / etc.).
     Baseline,
@@ -87,7 +85,7 @@ pub enum Category {
 }
 
 /// A named, categorized measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technique {
     /// Unique name, e.g. `"quant-int8"`.
     pub name: String,
@@ -104,35 +102,17 @@ pub struct Technique {
 pub enum RegistryError {
     /// A technique with the same name is already registered.
     Duplicate(String),
-    /// Persistence I/O failed.
-    Io(std::io::Error),
-    /// Persistence parse failed.
-    Parse(serde_json::Error),
 }
 
 impl fmt::Display for RegistryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RegistryError::Duplicate(n) => write!(f, "technique {n:?} already registered"),
-            RegistryError::Io(e) => write!(f, "registry I/O failed: {e}"),
-            RegistryError::Parse(e) => write!(f, "registry parse failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for RegistryError {}
-
-impl From<std::io::Error> for RegistryError {
-    fn from(e: std::io::Error) -> Self {
-        RegistryError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for RegistryError {
-    fn from(e: serde_json::Error) -> Self {
-        RegistryError::Parse(e)
-    }
-}
 
 /// The technique collection.
 ///
@@ -157,7 +137,7 @@ impl From<serde_json::Error> for RegistryError {
 /// let pick = nav.recommend(&[Constraint::MaxMemoryBytes(200)]).unwrap();
 /// assert_eq!(pick.name, "int8");
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
     techniques: Vec<Technique>,
 }
@@ -193,17 +173,6 @@ impl Registry {
     /// Looks a technique up by name.
     pub fn get(&self, name: &str) -> Option<&Technique> {
         self.techniques.iter().find(|t| t.name == name)
-    }
-
-    /// Saves as JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RegistryError> {
-        std::fs::write(path, serde_json::to_string_pretty(self)?)?;
-        Ok(())
-    }
-
-    /// Loads a JSON registry.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, RegistryError> {
-        Ok(serde_json::from_str(&std::fs::read_to_string(path)?)?)
     }
 
     /// Number of registered techniques.
@@ -273,23 +242,5 @@ mod tests {
         assert_eq!(r.by_category(Category::Ensemble).len(), 1);
         assert!(r.get("a").is_some());
         assert!(r.get("zzz").is_none());
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut r = Registry::new();
-        r.add(t("a", 0.91, 12)).unwrap();
-        r.add(t("b", 0.85, 6)).unwrap();
-        let path = std::env::temp_dir().join("dl_core_registry_test.json");
-        r.save(&path).unwrap();
-        let back = Registry::load(&path).unwrap();
-        assert_eq!(back.techniques(), r.techniques());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_is_io_error() {
-        let err = Registry::load("/nonexistent/registry.json").unwrap_err();
-        assert!(matches!(err, RegistryError::Io(_)));
     }
 }

@@ -14,8 +14,8 @@
 //! from (and what the `canopy` rows of the `mistique` Criterion bench
 //! measure in wall-clock).
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Basic aggregates of one chunk of one column (or column pair).
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,6 +34,12 @@ pub struct CanopyStats {
     pub cache_misses: u64,
     /// Raw values scanned (the work a naive engine would do every query).
     pub values_scanned: u64,
+}
+
+/// Locks `m`; a panic on another thread leaves plain counters and cache
+/// entries that are still valid, so a poisoned lock is taken as is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A lazily-built canopy of basic aggregates over a column-major table.
@@ -83,13 +89,13 @@ impl DataCanopy {
 
     /// Cache statistics so far.
     pub fn stats(&self) -> CanopyStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 
     /// Chunk aggregate for `(col, chunk_idx)`, cached.
     fn chunk_agg(&self, col: usize, chunk_idx: usize) -> ChunkAgg {
-        if let Some(&agg) = self.cache.lock().get(&(col, chunk_idx)) {
-            self.stats.lock().cache_hits += 1;
+        if let Some(&agg) = lock(&self.cache).get(&(col, chunk_idx)) {
+            lock(&self.stats).cache_hits += 1;
             return agg;
         }
         let start = chunk_idx * self.chunk;
@@ -104,19 +110,19 @@ impl DataCanopy {
             agg.sum_sq += f64::from(v) * f64::from(v);
         }
         {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.cache_misses += 1;
             stats.values_scanned += slice.len() as u64;
         }
-        self.cache.lock().insert((col, chunk_idx), agg);
+        lock(&self.cache).insert((col, chunk_idx), agg);
         agg
     }
 
     /// Sum of products over a chunk for a column pair, cached.
     fn chunk_prod(&self, a: usize, b: usize, chunk_idx: usize) -> f64 {
         let key = (a.min(b), a.max(b), chunk_idx);
-        if let Some(&p) = self.prod_cache.lock().get(&key) {
-            self.stats.lock().cache_hits += 1;
+        if let Some(&p) = lock(&self.prod_cache).get(&key) {
+            lock(&self.stats).cache_hits += 1;
             return p;
         }
         let start = chunk_idx * self.chunk;
@@ -127,11 +133,11 @@ impl DataCanopy {
             .map(|(&x, &y)| f64::from(x) * f64::from(y))
             .sum();
         {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.cache_misses += 1;
             stats.values_scanned += (end - start) as u64;
         }
-        self.prod_cache.lock().insert(key, p);
+        lock(&self.prod_cache).insert(key, p);
         p
     }
 
@@ -147,7 +153,7 @@ impl DataCanopy {
                 total.sum_sq += f64::from(v) * f64::from(v);
             }
             total.count += b - a;
-            self.stats.lock().values_scanned += (b - a) as u64;
+            lock(&self.stats).values_scanned += (b - a) as u64;
         };
         let first_full = lo.div_ceil(self.chunk);
         let last_full = hi / self.chunk;
@@ -206,7 +212,7 @@ impl DataCanopy {
                 .zip(&self.columns[b][s..e])
                 .map(|(&x, &y)| f64::from(x) * f64::from(y))
                 .sum::<f64>();
-            self.stats.lock().values_scanned += (e - s) as u64;
+            lock(&self.stats).values_scanned += (e - s) as u64;
         };
         if first_full >= last_full {
             scan(&mut sum_prod, lo, hi);

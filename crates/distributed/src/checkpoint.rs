@@ -12,7 +12,6 @@
 
 use dl_nn::{Network, Optimizer};
 use dl_store::{load_checkpoint, save_checkpoint, CheckpointData, StoreError};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Simulated storage target for checkpoints.
@@ -62,14 +61,14 @@ impl StorageProfile {
 /// Parameters are stored once (checkpoints are only taken at sync
 /// boundaries, where all live workers agree), so the footprint is one
 /// model regardless of cluster size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Number of completed steps at capture time.
     pub step: usize,
     /// Flattened model parameters (identical across live workers).
     pub params: Vec<f32>,
     /// Optimizer at capture time (plain SGD is stateless; momentum/Adam
-    /// accumulators are `#[serde(skip)]` and rebuilt on resume).
+    /// accumulators are not persisted and are rebuilt on resume).
     pub optimizer: Optimizer,
     /// Per-worker data-shard cursors: samples drawn so far, used to
     /// fast-forward each worker's sampling RNG on restore.
@@ -94,8 +93,7 @@ impl Checkpoint {
     /// Persists the checkpoint as a `dl-store` binary artifact (real
     /// I/O, for tooling — the simulated cost model lives in
     /// [`CheckpointStore`]). Params and optimizer hyper-parameters
-    /// round-trip bit-for-bit; moment buffers were never persisted
-    /// (previously `#[serde(skip)]`) and still are not.
+    /// round-trip bit-for-bit; moment buffers are not persisted.
     pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
         std::fs::write(path, save_checkpoint(&self.to_data())).map_err(CheckpointError::Io)
     }

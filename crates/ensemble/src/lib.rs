@@ -152,11 +152,13 @@ pub fn independent(
     (ensemble, report)
 }
 
-/// [`independent`] with members trained on OS threads (crossbeam scoped
-/// threads): the embarrassingly-parallel structure of independent ensemble
-/// training made literal. Produces networks identical to the sequential
-/// version (each member's seed is derived the same way), so the only
-/// difference is wall-clock.
+/// [`independent`] with members trained on OS threads (`std::thread::scope`):
+/// the embarrassingly-parallel structure of independent ensemble training
+/// made literal. Member `m` is initialized from `rng(seed + m)` and trained
+/// with `config.seed + m`, so no member depends on another or on thread
+/// scheduling: the result equals training the members one after another
+/// with those seeds. (It is not [`independent`]'s result, which draws
+/// every member's init from one shared stream.)
 pub fn independent_parallel(
     data: &Dataset,
     eval: &Dataset,
@@ -166,11 +168,11 @@ pub fn independent_parallel(
     seed: u64,
 ) -> (Ensemble, EnsembleReport) {
     assert!(members > 0, "need at least one member");
-    let results: Vec<(Network, u64)> = crossbeam::thread::scope(|scope| {
+    let results: Vec<(Network, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..members)
             .map(|m| {
                 let config = config.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = dl_tensor::init::rng(seed.wrapping_add(m as u64));
                     let mut net = Network::mlp(dims, &mut rng);
                     let mut trainer = Trainer::new(
@@ -189,8 +191,7 @@ pub fn independent_parallel(
             .into_iter()
             .map(|h| h.join().expect("member training panicked"))
             .collect()
-    })
-    .expect("thread scope failed");
+    });
     let flops = results.iter().map(|(_, f)| f).sum();
     let mut ensemble = Ensemble::new(results.into_iter().map(|(n, _)| n).collect());
     let report = EnsembleReport {
@@ -270,6 +271,33 @@ mod tests {
         for (ma, mb) in a.members.iter().zip(&b.members) {
             assert_eq!(ma.flat_params(), mb.flat_params());
         }
+    }
+
+    #[test]
+    fn parallel_members_equal_sequentially_trained_ones() {
+        let data = blobs(60, 2, 4, 6.0, 0.4, 3);
+        let cfg = TrainConfig {
+            epochs: 3,
+            ..TrainConfig::default()
+        };
+        let (ens, report) = independent_parallel(&data, &data, &[4, 6, 2], 2, &cfg, 11);
+        let mut flops = 0;
+        for (m, member) in ens.members.iter().enumerate() {
+            let mut net = Network::mlp(&[4, 6, 2], &mut rng(11 + m as u64));
+            let mut trainer = Trainer::new(
+                TrainConfig {
+                    seed: cfg.seed + m as u64,
+                    ..cfg.clone()
+                },
+                Optimizer::adam(0.01),
+            );
+            trainer.fit(&mut net, &data);
+            flops += trainer.flops;
+            let bits =
+                |n: &Network| -> Vec<u32> { n.flat_params().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(member), bits(&net), "member {m}");
+        }
+        assert_eq!(report.train_flops, flops);
     }
 
     #[test]

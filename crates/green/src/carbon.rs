@@ -1,14 +1,13 @@
 //! Carbon accounting: kWh -> gCO2e, per region.
 
 use crate::energy::EnergyReport;
-use serde::{Deserialize, Serialize};
 
 /// A grid region with its average carbon intensity.
 ///
 /// Intensities (gCO2e per kWh) follow the public figures the ML-emissions
 /// calculators ship: hydro-heavy grids near 30, EU average near 300,
 /// coal-heavy grids above 700.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// Hydro/nuclear-dominated grid (~30 gCO2e/kWh).
     HydroNorth,
@@ -69,7 +68,7 @@ impl Region {
 }
 
 /// A per-run carbon report in the style of the ML emissions calculator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarbonReport {
     /// Energy consumed (kWh, including PUE).
     pub kwh: f64,

@@ -1,14 +1,12 @@
 //! Hardware energy model: FLOPs -> kWh.
 
-use serde::{Deserialize, Serialize};
-
 /// An accelerator/CPU power profile.
 ///
 /// `sustained_flops` is the realistic training throughput (not the
 /// marketing peak); `utilization` scales TDP to the average draw during
 /// training. Both follow the assumptions of the public ML-emissions
 /// calculators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareProfile {
     /// Human-readable name.
     pub name: &'static str,
@@ -86,7 +84,7 @@ impl HardwareProfile {
 }
 
 /// Energy accounting for one workload on one hardware profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Total FLOPs executed.
     pub flops: u64,

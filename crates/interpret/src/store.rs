@@ -15,7 +15,6 @@
 //! the footprint saving, and per-query touched-chunk counts as the
 //! latency proxy.
 
-use bytes::Bytes;
 use dl_tensor::Tensor;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -50,7 +49,7 @@ struct StoredMatrix {
 pub struct IntermediateStore {
     matrices: HashMap<IntermediateKey, StoredMatrix>,
     /// Content-addressed chunk storage.
-    chunk_data: HashMap<u64, Bytes>,
+    chunk_data: HashMap<u64, Vec<u8>>,
     /// Logical bytes if everything were stored as f32 (for the report).
     logical_bytes: u64,
     dedup_hits: u64,
@@ -138,20 +137,20 @@ impl IntermediateStore {
             let h = hasher.finish();
             if let Some(existing) = self.chunk_data.get(&h) {
                 // hash collision check: verify content matches
-                if existing.as_ref() == row.as_slice() {
+                if *existing == row {
                     self.dedup_hits += 1;
                 } else {
                     // extremely unlikely; fall back to salted hash
                     let mut salt = DefaultHasher::new();
                     (h, &row).hash(&mut salt);
                     let h2 = salt.finish();
-                    self.chunk_data.insert(h2, Bytes::from(row));
+                    self.chunk_data.insert(h2, row);
                     chunks.push(h2);
                     self.logical_bytes += (cols * 4) as u64;
                     continue;
                 }
             } else {
-                self.chunk_data.insert(h, Bytes::from(row));
+                self.chunk_data.insert(h, row);
             }
             chunks.push(h);
         }

@@ -7,10 +7,8 @@
 //! the simulator crates (`dl-distributed`, `dl-green`) later turn into
 //! seconds and joules under explicit hardware models.
 
-use serde::{Deserialize, Serialize};
-
 /// Static cost of one layer for a given batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayerCost {
     /// Floating-point operations for one forward pass.
     pub forward_flops: u64,
@@ -78,7 +76,7 @@ impl LayerCost {
 }
 
 /// Aggregate cost of a whole network, plus derived byte figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostProfile {
     /// Total forward FLOPs per batch.
     pub forward_flops: u64,

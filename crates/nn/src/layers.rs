@@ -11,7 +11,6 @@
 use dl_tensor::{init, par, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::cost::LayerCost;
 
@@ -20,7 +19,7 @@ use crate::cost::LayerCost;
 /// Modeled as an enum (rather than trait objects) so that networks serialize
 /// cleanly and the compression crate can pattern-match its way to weight
 /// matrices for pruning/quantization surgery.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Layer {
     /// Fully-connected affine layer.
     Dense(Dense),
@@ -171,7 +170,7 @@ impl Layer {
 // ----------------------------------------------------------------------
 
 /// Fully-connected layer: `y = x W + b` with `W: [in, out]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     /// Weight matrix `[in, out]`.
     pub weight: Tensor,
@@ -181,7 +180,6 @@ pub struct Dense {
     pub grad_weight: Tensor,
     /// Gradient of the loss with respect to [`Dense::bias`].
     pub grad_bias: Tensor,
-    #[serde(skip)]
     input: Option<Tensor>,
 }
 
@@ -244,9 +242,8 @@ impl Dense {
 // ----------------------------------------------------------------------
 
 /// Rectified linear unit: `max(0, x)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReLU {
-    #[serde(skip)]
     mask: Option<Tensor>,
 }
 
@@ -271,9 +268,8 @@ impl ReLU {
 }
 
 /// Logistic sigmoid: `1 / (1 + e^-x)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Sigmoid {
-    #[serde(skip)]
     output: Option<Tensor>,
 }
 
@@ -299,9 +295,8 @@ impl Sigmoid {
 }
 
 /// Hyperbolic tangent activation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Tanh {
-    #[serde(skip)]
     output: Option<Tensor>,
 }
 
@@ -333,15 +328,14 @@ impl Tanh {
 /// Inverted dropout: at train time zeroes each activation with probability
 /// `p` and scales survivors by `1/(1-p)`; identity at inference.
 ///
-/// Randomness is derived from `(seed, step)` so a deserialized model
-/// reproduces the exact same mask sequence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Randomness is derived from `(seed, step)` so a model loaded through
+/// `dl-store` reproduces the exact same mask sequence.
+#[derive(Debug, Clone)]
 pub struct Dropout {
     /// Drop probability in `[0, 1)`.
     pub p: f32,
     seed: u64,
     step: u64,
-    #[serde(skip)]
     mask: Option<Tensor>,
 }
 
@@ -425,7 +419,7 @@ impl Dropout {
 /// `[in_channels, height, width]` images; each sample is lowered with
 /// `im2col` so the convolution runs as a single matmul (the tutorial's
 /// data-layout lens on convolution).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     /// Filter bank `[out_channels, in_channels * kh * kw]`.
     pub weight: Tensor,
@@ -451,7 +445,6 @@ pub struct Conv2d {
     pub stride: usize,
     /// Zero padding (same on all sides).
     pub pad: usize,
-    #[serde(skip)]
     cols: Option<Vec<Tensor>>,
 }
 
@@ -581,7 +574,7 @@ impl Conv2d {
 // ----------------------------------------------------------------------
 
 /// 2-D max pooling with a square `k`-window and stride `stride`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     /// Channels of the incoming `[C, H, W]` rows.
     pub channels: usize,
@@ -593,9 +586,7 @@ pub struct MaxPool2d {
     pub k: usize,
     /// Stride.
     pub stride: usize,
-    #[serde(skip)]
     argmax: Option<Vec<usize>>,
-    #[serde(skip)]
     in_dims: Option<(usize, usize)>,
 }
 
@@ -686,7 +677,7 @@ impl MaxPool2d {
 
 /// Batch normalization over feature columns with learnable scale/shift and
 /// running statistics for inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm1d {
     /// Learnable scale `[features]`.
     pub gamma: Tensor,
@@ -703,7 +694,6 @@ pub struct BatchNorm1d {
     /// Exponential-average momentum for running statistics.
     pub momentum: f32,
     eps: f32,
-    #[serde(skip)]
     cache: Option<BnCache>,
 }
 
@@ -790,10 +780,26 @@ mod tests {
 
     /// Finite-difference gradient check for a layer's input gradient.
     fn check_input_grad(layer: &mut Layer, x: &Tensor, tol: f32) {
+        let skipped = check_input_grad_off_kinks(layer, x, tol, |_, _| false);
+        assert_eq!(skipped, 0);
+    }
+
+    /// [`check_input_grad`] that skips every coordinate whose +eps or -eps
+    /// forward pass leaves the layer in a state `kinked(base, perturbed)`
+    /// flags: the loss is not differentiable within eps there, so the
+    /// central difference measures the kink, not the gradient. Returns
+    /// the number of coordinates skipped.
+    fn check_input_grad_off_kinks(
+        layer: &mut Layer,
+        x: &Tensor,
+        tol: f32,
+        kinked: impl Fn(&Layer, &Layer) -> bool,
+    ) -> usize {
         let y = layer.forward(x, true);
         // loss = sum(y^2)/2, so dL/dy = y
         let gx = layer.backward(&y);
         let eps = 1e-2;
+        let mut skipped = 0;
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
@@ -803,6 +809,10 @@ mod tests {
             xm.data_mut()[i] -= eps;
             let mut lm = layer.clone();
             let ym = lm.forward(&xm, true);
+            if kinked(layer, &lp) || kinked(layer, &lm) {
+                skipped += 1;
+                continue;
+            }
             let numeric =
                 (yp.sum_squares() / 2.0 - ym.sum_squares() / 2.0) / (2.0 * eps);
             let analytic = gx.data()[i];
@@ -811,6 +821,7 @@ mod tests {
                 "input grad mismatch at {i}: numeric {numeric} vs analytic {analytic}"
             );
         }
+        skipped
     }
 
     #[test]
@@ -982,7 +993,17 @@ mod tests {
         let mut r = rng(8);
         let mut layer = Layer::MaxPool2d(MaxPool2d::new(1, 4, 4, 2, 2));
         let x = init::uniform([2, 16], -1.0, 1.0, &mut r);
-        check_input_grad(&mut layer, &x, 1e-2);
+        // A coordinate within eps of its window's runner-up can flip the
+        // window's argmax under perturbation; the max is not
+        // differentiable across that flip, so such coordinates are skipped.
+        let argmax_moved = |base: &Layer, perturbed: &Layer| match (base, perturbed) {
+            (Layer::MaxPool2d(a), Layer::MaxPool2d(b)) => a.argmax != b.argmax,
+            _ => unreachable!(),
+        };
+        let skipped = check_input_grad_off_kinks(&mut layer, &x, 1e-2, argmax_moved);
+        // Seed 8 puts inputs 22 and 23 (0.8639 and 0.8725) in one window,
+        // 0.0085 apart: +eps on 22 and -eps on 23 each swap its argmax.
+        assert_eq!(skipped, 2);
     }
 
     #[test]
@@ -1050,20 +1071,5 @@ mod tests {
         let conv = Layer::Conv2d(Conv2d::new(1, 2, 4, 4, 3, 3, 1, 1, &mut r));
         let (_, out) = conv.cost(1, 16);
         assert_eq!(out, 2 * 4 * 4);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_weights() {
-        let mut r = rng(13);
-        let layer = Layer::Dense(Dense::new(3, 2, &mut r));
-        let json = serde_json::to_string(&layer).unwrap();
-        let mut back: Layer = serde_json::from_str(&json).unwrap();
-        match (&layer, &mut back) {
-            (Layer::Dense(a), Layer::Dense(b)) => {
-                assert_eq!(a.weight, b.weight);
-                assert_eq!(a.bias, b.bias);
-            }
-            _ => panic!("variant changed in roundtrip"),
-        }
     }
 }

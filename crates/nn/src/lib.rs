@@ -9,8 +9,9 @@
 //! * [`layers`] — the pipeline operators ([`Dense`], [`Conv2d`],
 //!   [`MaxPool2d`], activations, [`Dropout`], [`BatchNorm1d`]), each with an
 //!   explicit `forward`/`backward` pair and cached intermediates,
-//! * [`Network`] — an ordered pipeline of layers with save/load, parameter
-//!   surgery hooks (used by `dl-compress`), and cost accounting,
+//! * [`Network`] — an ordered pipeline of layers with parameter surgery
+//!   hooks (used by `dl-compress`) and cost accounting; `dl-store`
+//!   persists it,
 //! * [`loss`] — softmax cross-entropy and mean-squared-error objectives,
 //! * [`optim`] — SGD / momentum / Adam plus learning-rate schedules
 //!   (including the cyclic cosine schedule Snapshot Ensembles rely on),
@@ -36,6 +37,6 @@ pub mod train;
 pub use cost::{CostProfile, LayerCost};
 pub use layers::{BatchNorm1d, Conv2d, Dense, Dropout, Layer, MaxPool2d};
 pub use loss::Loss;
-pub use network::{Network, NetworkError};
+pub use network::Network;
 pub use optim::{LrSchedule, Optimizer};
 pub use train::{Dataset, EpochRecord, TrainConfig, Trainer};

@@ -3,7 +3,7 @@
 use dl_tensor::Tensor;
 
 /// A differentiable objective over batched predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loss {
     /// Softmax over logits followed by cross-entropy against integer class
     /// labels. The fused form keeps the backward pass numerically stable

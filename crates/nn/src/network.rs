@@ -2,45 +2,10 @@
 
 use dl_tensor::Tensor;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::path::Path;
 
 use crate::cost::{CostProfile, LayerCost};
 use crate::layers::{Dense, Layer, ReLU};
 use crate::loss::softmax;
-
-/// Errors from network construction and persistence.
-#[derive(Debug)]
-pub enum NetworkError {
-    /// Model file could not be read or written.
-    Io(std::io::Error),
-    /// Model file could not be parsed.
-    Parse(serde_json::Error),
-}
-
-impl fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetworkError::Io(e) => write!(f, "model file I/O failed: {e}"),
-            NetworkError::Parse(e) => write!(f, "model file parse failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for NetworkError {}
-
-impl From<std::io::Error> for NetworkError {
-    fn from(e: std::io::Error) -> Self {
-        NetworkError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for NetworkError {
-    fn from(e: serde_json::Error) -> Self {
-        NetworkError::Parse(e)
-    }
-}
 
 /// A feed-forward network: the tutorial's "predefined pipeline" that every
 /// data item passes through.
@@ -54,7 +19,7 @@ impl From<serde_json::Error> for NetworkError {
 /// let logits = net.forward(&x, false);
 /// assert_eq!(logits.dims(), &[3, 2]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<Layer>,
     /// Width of the expected input rows.
@@ -300,19 +265,6 @@ impl Network {
             .collect()
     }
 
-    /// Serializes the model to pretty JSON at `path`.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), NetworkError> {
-        let json = serde_json::to_string(self)?;
-        std::fs::write(path, json)?;
-        Ok(())
-    }
-
-    /// Loads a model saved by [`Network::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, NetworkError> {
-        let json = std::fs::read_to_string(path)?;
-        Ok(serde_json::from_str(&json)?)
-    }
-
     /// Flattens every trainable parameter into one vector (communication
     /// and averaging in `dl-distributed`).
     pub fn flat_params(&self) -> Vec<f32> {
@@ -539,26 +491,6 @@ mod tests {
         let zeros = vec![0.0; g.len()];
         net.set_flat_grads(&zeros);
         assert!(net.flat_grads().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut r = rng(8);
-        let mut net = Network::mlp(&[3, 4, 2], &mut r);
-        let x = init::uniform([2, 3], -1.0, 1.0, &mut r);
-        let before = net.forward(&x, false);
-        let dir = std::env::temp_dir().join("dl_nn_test_model.json");
-        net.save(&dir).unwrap();
-        let mut loaded = Network::load(&dir).unwrap();
-        let after = loaded.forward(&x, false);
-        assert!(before.approx_eq(&after, 1e-7));
-        std::fs::remove_file(dir).ok();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        let err = Network::load("/nonexistent/model.json").unwrap_err();
-        assert!(matches!(err, NetworkError::Io(_)));
     }
 
     #[test]

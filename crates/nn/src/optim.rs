@@ -5,10 +5,9 @@
 //! repeatedly annealed to ~0 (where a snapshot is taken) and restarted.
 
 use dl_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Gradient-descent update rules over a flat list of parameter tensors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Optimizer {
     /// Plain stochastic gradient descent.
     Sgd {
@@ -22,7 +21,6 @@ pub enum Optimizer {
         /// Momentum coefficient (typically 0.9).
         beta: f32,
         /// Velocity state, lazily sized to the parameter list.
-        #[serde(skip)]
         velocity: Vec<Tensor>,
     },
     /// Adam with bias correction.
@@ -38,10 +36,8 @@ pub enum Optimizer {
         /// Timestep for bias correction.
         t: u64,
         /// First-moment state.
-        #[serde(skip)]
         m: Vec<Tensor>,
         /// Second-moment state.
-        #[serde(skip)]
         v: Vec<Tensor>,
     },
 }
@@ -146,7 +142,7 @@ impl Optimizer {
 }
 
 /// Learning-rate schedules, expressed as a multiplier on the base rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
     /// Constant multiplier of 1.
     Constant,

@@ -11,7 +11,6 @@ use dl_obs::{fields, FieldValue, NullRecorder, Recorder, ToFields};
 use dl_tensor::acct::{self, OpCost};
 use dl_tensor::{init, Tensor};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::loss::{one_hot, Loss};
 use crate::metrics::accuracy;
@@ -78,7 +77,7 @@ impl Dataset {
 }
 
 /// Hyper-parameters for [`Trainer`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Number of passes over the training data.
     pub epochs: usize,
@@ -111,7 +110,7 @@ impl Default for TrainConfig {
 }
 
 /// One epoch's record of quality and resource metrics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochRecord {
     /// 0-based epoch index.
     pub epoch: usize,

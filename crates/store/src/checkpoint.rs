@@ -4,10 +4,9 @@
 //! SGD: the completed step count, the flat synchronized parameters, the
 //! optimizer's hyper-parameters and per-worker data-shard cursors. The
 //! optimizer's moment buffers (momentum velocity, Adam m/v) are training
-//! scratch that the existing JSON round-trip already dropped
-//! (`#[serde(skip)]`) — this format preserves those semantics exactly:
-//! hyper-parameters and the Adam timestep round-trip, accumulators are
-//! rebuilt lazily on the first post-restore step.
+//! scratch and are not persisted: hyper-parameters and the Adam timestep
+//! round-trip, accumulators are rebuilt lazily on the first post-restore
+//! step.
 //!
 //! Scalar f32 hyper-parameters are stored as bit patterns, params as one
 //! f32 tensor, cursors as little-endian u64 bytes — so a re-saved
@@ -30,8 +29,7 @@ pub struct CheckpointData {
     pub step: u64,
     /// Flattened model parameters.
     pub params: Vec<f32>,
-    /// Optimizer at capture time (moment buffers empty, as after
-    /// deserialization of the `#[serde(skip)]` fields).
+    /// Optimizer at capture time (moment buffers empty).
     pub optimizer: Optimizer,
     /// Per-worker data-shard cursors.
     pub cursors: Vec<u64>,

@@ -426,6 +426,30 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn save_load_roundtrip() {
+        let mut rng = init::rng(8);
+        let mut net = Network::mlp(&[3, 4, 2], &mut rng);
+        let x = init::uniform([2, 3], -1.0, 1.0, &mut rng);
+        let path = std::env::temp_dir().join(format!("dl_store_net_{}.dlst", std::process::id()));
+        save_network_file(&net, &path).expect("writable temp dir");
+        let loaded = load_network_file(&path);
+        std::fs::remove_file(&path).ok();
+        let mut loaded = loaded.expect("valid artifact");
+        let ya = net.forward(&x, false);
+        let yb = loaded.forward(&x, false);
+        assert_eq!(ya.dims(), yb.dims());
+        for (p, q) in ya.data().iter().zip(yb.data()) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+    }
+
+    #[test]
+    fn load_missing_file_errors() {
+        let err = load_network_file(Path::new("/nonexistent/model.dlst")).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)));
+    }
+
     proptest! {
         #[test]
         fn save_load_dequantize_equals_dequantize_before_save(

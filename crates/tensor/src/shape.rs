@@ -14,7 +14,7 @@ use std::fmt;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.flat_index(&[1, 2, 3]), 23);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -51,26 +51,10 @@ impl std::error::Error for TensorError {}
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(try_from = "RawTensor")]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
-}
-
-/// Wire form of [`Tensor`]; deserialization funnels through a length check
-/// so a hand-edited model file cannot violate the shape/data invariant.
-#[derive(serde::Deserialize)]
-struct RawTensor {
-    shape: Shape,
-    data: Vec<f32>,
-}
-
-impl TryFrom<RawTensor> for Tensor {
-    type Error = TensorError;
-    fn try_from(raw: RawTensor) -> crate::Result<Self> {
-        Tensor::from_vec(raw.data, raw.shape)
-    }
 }
 
 impl Tensor {
